@@ -84,6 +84,9 @@ func buildFleet(cfg FleetConfig) (*Harness, error) {
 	switch cfg.Algo {
 	case "spa":
 		kind = system.Complete
+		if cfg.SelfMaintain {
+			kind = system.SelfMaintaining
+		}
 		wantLevel = msg.Complete
 	case "pa":
 		kind = system.Batching
@@ -105,16 +108,15 @@ func buildFleet(cfg FleetConfig) (*Harness, error) {
 		return nil, fmt.Errorf("sched: self-maintenance applies to the spa fleet only")
 	}
 	sys, err := system.Build(system.Config{
-		Sources:      workload.PaperSources(),
-		Views:        views,
-		Commit:       system.Sequential,
-		LogStates:    true,
-		Pool:         cfg.Pool,
-		Obs:          cfg.Obs,
-		Replicate:    cfg.Replicate,
-		SharedPlans:  cfg.SharedPlans,
-		SelfMaintain: cfg.SelfMaintain,
-		MaxAuxRows:   cfg.MaxAuxRows,
+		Sources:     workload.PaperSources(),
+		Views:       views,
+		Commit:      system.Sequential,
+		LogStates:   true,
+		Pool:        cfg.Pool,
+		Obs:         cfg.Obs,
+		Replicate:   cfg.Replicate,
+		SharedPlans: cfg.SharedPlans,
+		MaxAuxRows:  cfg.MaxAuxRows,
 	})
 	if err != nil {
 		return nil, err
@@ -159,10 +161,10 @@ func buildFleet(cfg FleetConfig) (*Harness, error) {
 			h.Rebuild[msg.NodeViewManager(v.ID)] = func() msg.Node {
 				var m viewmgr.Manager
 				var err error
-				switch {
-				case cfg.Algo == "spa" && cfg.SelfMaintain:
+				switch kind {
+				case system.SelfMaintaining:
 					m, err = viewmgr.NewSelfMaintaining(mc, initDB)
-				case cfg.Algo == "spa":
+				case system.Complete:
 					m, err = viewmgr.NewComplete(mc, initDB)
 				default:
 					m, err = viewmgr.NewBatching(mc, initDB)

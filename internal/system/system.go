@@ -166,12 +166,6 @@ type Config struct {
 	// kinds (CompleteQuery, QueryBatching), whose deltas come from source
 	// queries rather than local evaluation.
 	SharedPlans bool
-	// SelfMaintain converts every Complete and CompleteQuery view to a
-	// SelfMaintaining manager (auxiliary-relation maintenance; see
-	// viewmgr.SelfMaintaining). Incompatible with SharedPlans — the DAG
-	// already computes every view delta upstream, leaving auxiliary state
-	// nothing to do.
-	SelfMaintain bool
 	// MaxAuxRows bounds each auxiliary relation a SelfMaintaining manager
 	// keeps; 0 means unbounded. See viewmgr.Config.MaxAuxRows.
 	MaxAuxRows int
@@ -333,19 +327,6 @@ func Build(cfg Config) (*System, error) {
 	}
 	if cfg.Obs != nil {
 		iopts = append(iopts, integrator.WithObs(cfg.Obs))
-	}
-	if cfg.SelfMaintain {
-		if cfg.SharedPlans {
-			return nil, fmt.Errorf("system: self-maintenance is incompatible with shared plans (the DAG already computes per-view deltas upstream)")
-		}
-		converted := make([]ViewDef, len(cfg.Views))
-		copy(converted, cfg.Views)
-		for i := range converted {
-			if converted[i].Manager == Complete || converted[i].Manager == CompleteQuery {
-				converted[i].Manager = SelfMaintaining
-			}
-		}
-		cfg.Views = converted
 	}
 	var dag *plan.DAG
 	if cfg.SharedPlans {

@@ -25,44 +25,17 @@ import (
 // The emitted stream is identical either way: one Complete-level list per
 // update, byte-for-byte the stream CompleteQuery produces.
 type SelfMaintaining struct {
-	cfg  Config
+	updateLoop
 	plan *expr.SelfMaintPlan
 	// aux maps auxiliary name to its maintained contents; a nil entry is a
 	// degraded auxiliary awaiting repair.
 	aux     map[string]*relation.Relation
 	auxDefs map[string]expr.AuxRelation
-
-	queue    []msg.Update
-	arrivals []int64 // arrivals[i] is when queue[i] arrived
-
-	// Fallback-round bookkeeping (mirrors CompleteQuery's head round).
-	nextQID   msg.QueryID
-	pending   map[msg.QueryID]string // qid -> auxiliary name being repaired
-	fetched   map[string]*relation.Relation
-	retries   int
-	repairing bool // the head update needed a source round
-
-	rels relCarrier
-	ob   vmObs
-	sob  selfObs
-}
-
-// selfObs holds the self-maintenance-specific metric handles.
-type selfObs struct {
 	// localDeltas counts updates answered purely from auxiliary state —
 	// the zero-source-message path.
 	localDeltas *obs.Counter
 	// auxBytes estimates the resident auxiliary footprint.
 	auxBytes *obs.Gauge
-}
-
-func newSelfObs(cfg Config) selfObs {
-	r := cfg.Obs.Reg()
-	v := string(cfg.View)
-	return selfObs{
-		localDeltas: r.Counter("vm_local_deltas_total", "view", v),
-		auxBytes:    r.Gauge("vm_aux_bytes", "view", v),
-	}
 }
 
 // NewSelfMaintaining analyzes cfg.Expr and seeds the auxiliary relations
@@ -75,14 +48,16 @@ func NewSelfMaintaining(cfg Config, init expr.Database) (*SelfMaintaining, error
 	if err != nil {
 		return nil, fmt.Errorf("viewmgr: %s: %w", cfg.View, err)
 	}
+	reg := cfg.Obs.Reg()
 	m := &SelfMaintaining{
-		cfg:     cfg,
-		plan:    plan,
-		aux:     make(map[string]*relation.Relation, len(plan.Aux)),
-		auxDefs: make(map[string]expr.AuxRelation, len(plan.Aux)),
-		ob:      newVMObs(cfg),
-		sob:     newSelfObs(cfg),
+		updateLoop:  newUpdateLoop(cfg),
+		plan:        plan,
+		aux:         make(map[string]*relation.Relation, len(plan.Aux)),
+		auxDefs:     make(map[string]expr.AuxRelation, len(plan.Aux)),
+		localDeltas: reg.Counter("vm_local_deltas_total", "view", string(cfg.View)),
+		auxBytes:    reg.Gauge("vm_aux_bytes", "view", string(cfg.View)),
 	}
+	m.need, m.delta = m.repairs, m.advance
 	for _, a := range plan.Aux {
 		m.auxDefs[a.Name] = a
 		r, err := expr.Eval(a.Expr, init)
@@ -95,54 +70,14 @@ func NewSelfMaintaining(cfg Config, init expr.Database) (*SelfMaintaining, error
 	return m, nil
 }
 
-// Level returns the manager's consistency level.
-func (m *SelfMaintaining) Level() msg.Level { return msg.Complete }
-
-// ID implements msg.Node.
-func (m *SelfMaintaining) ID() string { return msg.NodeViewManager(m.cfg.View) }
-
 // Relation implements expr.Database over the auxiliary state; a degraded
-// auxiliary is an error, which the drain loop prevents by repairing first.
+// auxiliary is an error, which the update loop prevents by repairing first.
 func (m *SelfMaintaining) Relation(name string) (*relation.Relation, error) {
 	r, ok := m.aux[name]
 	if !ok || r == nil {
 		return nil, fmt.Errorf("viewmgr: auxiliary relation %q unavailable", name)
 	}
 	return r, nil
-}
-
-// Handle implements msg.Node.
-func (m *SelfMaintaining) Handle(in any, now int64) []msg.Outbound {
-	switch t := in.(type) {
-	case msg.Update:
-		m.rels.collect(t)
-		m.queue = append(m.queue, t)
-		m.arrivals = append(m.arrivals, now)
-		m.ob.updates.Inc()
-		m.ob.queueDepth.Observe(int64(len(m.queue)))
-		if m.pending != nil {
-			return nil // a fallback round is in flight; the drain resumes after it
-		}
-		return m.drain(now)
-	case msg.QueryResponse:
-		return m.onResponse(t, now)
-	default:
-		return nil
-	}
-}
-
-// drain emits one action list per queued update until the queue is empty or
-// a degraded auxiliary forces a source round (which suspends the drain; the
-// round's completion resumes it).
-func (m *SelfMaintaining) drain(now int64) []msg.Outbound {
-	var out []msg.Outbound
-	for len(m.queue) > 0 {
-		if missing := m.degraded(); len(missing) > 0 {
-			return append(out, m.startRepair(missing)...)
-		}
-		out = append(out, m.emitHead(now)...)
-	}
-	return out
 }
 
 // degraded returns the names of dropped auxiliaries, sorted for determinism.
@@ -157,25 +92,38 @@ func (m *SelfMaintaining) degraded() []string {
 	return out
 }
 
-// emitHead processes the head-of-queue update entirely locally: translate
-// its base writes into auxiliary writes, delta-evaluate the rewritten view
-// over the auxiliary pre-state, then advance the auxiliaries. The sequential
-// per-occurrence writes reproduce the join delta rule exactly (see
-// expr.SelfMaintPlan.AuxWrites), so the delta matches what a replica- or
-// query-based complete manager computes for the same update.
-func (m *SelfMaintaining) emitHead(now int64) []msg.Outbound {
-	u := m.queue[0]
-	firstArrival := m.arrivals[0]
-	m.queue = m.queue[1:]
-	m.arrivals = m.arrivals[1:]
+// repairs is the bounded fallback: one repair query per degraded auxiliary,
+// each the auxiliary's own (selection/projection-narrowed) definition —
+// read, like every head round, as of the state just before the head
+// update, so the repaired copies line up exactly with the healthy ones.
+func (m *SelfMaintaining) repairs() []sourceQuery {
+	var qs []sourceQuery
+	for _, name := range m.degraded() {
+		qs = append(qs, sourceQuery{key: name, expr: m.auxDefs[name].Expr})
+	}
+	return qs
+}
 
+// advance installs the head round's repaired auxiliaries, then processes u
+// entirely locally: translate its base writes into auxiliary writes,
+// delta-evaluate the rewritten view over the auxiliary pre-state, then
+// advance the auxiliaries and re-check the bound — a repaired auxiliary
+// still over it degrades again at once, so coverage can flip in both
+// directions mid-stream. The sequential per-occurrence writes reproduce
+// the join delta rule exactly (see expr.SelfMaintPlan.AuxWrites), so the
+// delta matches what a replica- or query-based complete manager computes
+// for the same update.
+func (m *SelfMaintaining) advance(u msg.Update, repaired map[string]*relation.Relation) (*relation.Delta, error) {
+	for name, r := range repaired {
+		m.aux[name] = r
+	}
 	auxWrites, err := m.plan.AuxWrites(msg.ExprWrites(u.Writes))
 	if err != nil {
-		panic(fmt.Sprintf("viewmgr: %s: update %d: %v", m.cfg.View, u.Seq, err))
+		return nil, err
 	}
 	delta, err := expr.DeltaWrites(m.plan.Rewritten, auxWrites, m)
 	if err != nil {
-		panic(fmt.Sprintf("viewmgr: %s: delta of update %d: %v", m.cfg.View, u.Seq, err))
+		return nil, err
 	}
 	for _, w := range auxWrites {
 		r := m.aux[w.Relation]
@@ -183,101 +131,14 @@ func (m *SelfMaintaining) emitHead(now int64) []msg.Outbound {
 			continue // degraded mid-transaction is impossible here, but stay safe
 		}
 		if err := r.Apply(w.Delta); err != nil {
-			panic(fmt.Sprintf("viewmgr: %s: auxiliary %q diverged at update %d: %v", m.cfg.View, w.Relation, u.Seq, err))
+			return nil, fmt.Errorf("auxiliary %q diverged: %w", w.Relation, err)
 		}
 	}
-	if m.repairing {
-		m.repairing = false
-	} else {
-		m.sob.localDeltas.Inc()
+	if repaired == nil {
+		m.localDeltas.Inc()
 	}
 	m.enforceBound()
-
-	als := m.rels.attach([]msg.ActionList{{
-		View:  m.cfg.View,
-		From:  u.Seq,
-		Upto:  u.Seq,
-		Delta: delta,
-		Level: msg.Complete,
-		Trace: u.Trace.Next(now),
-	}})
-	m.ob.emitAL(&als[0], m.ID(), now, firstArrival, 1)
-	return []msg.Outbound{msg.Send(m.cfg.Merge, als[0])}
-}
-
-// startRepair begins the bounded fallback: one source query per degraded
-// auxiliary, each the auxiliary's own (selection/projection-narrowed)
-// definition evaluated as-of the state just before the head update — so the
-// repaired copies line up exactly with the healthy ones.
-func (m *SelfMaintaining) startRepair(missing []string) []msg.Outbound {
-	u := m.queue[0]
-	m.pending = make(map[msg.QueryID]string, len(missing))
-	m.fetched = make(map[string]*relation.Relation, len(missing))
-	m.retries = 0
-	m.repairing = true
-	var out []msg.Outbound
-	for _, name := range missing {
-		a := m.auxDefs[name]
-		m.nextQID++
-		qid := m.nextQID
-		m.pending[qid] = name
-		m.ob.sourceQueries.Inc()
-		out = append(out, msg.Send(msg.NodeCluster, msg.QueryRequest{
-			ID:   qid,
-			From: m.ID(),
-			Expr: a.Expr,
-			AsOf: u.Seq - 1,
-		}))
-	}
-	return out
-}
-
-func (m *SelfMaintaining) onResponse(resp msg.QueryResponse, now int64) []msg.Outbound {
-	name, ok := m.pending[resp.ID]
-	if !ok {
-		return nil // stale response from an abandoned round
-	}
-	if resp.Err != "" {
-		// Same bounded re-issue as CompleteQuery: fresh QID, old answers
-		// dropped as stale, permanent failure still surfaces.
-		m.retries++
-		if m.retries > maxQueryRetries {
-			panic(fmt.Sprintf("viewmgr: %s: auxiliary repair query for %s failed %d times: %s",
-				m.cfg.View, name, m.retries, resp.Err))
-		}
-		delete(m.pending, resp.ID)
-		m.ob.queryRetries.Inc()
-		m.ob.sourceQueries.Inc()
-		u := m.queue[0]
-		m.nextQID++
-		qid := m.nextQID
-		m.pending[qid] = name
-		return []msg.Outbound{msg.Send(msg.NodeCluster, msg.QueryRequest{
-			ID:   qid,
-			From: m.ID(),
-			Expr: m.auxDefs[name].Expr,
-			AsOf: u.Seq - 1,
-		})}
-	}
-	delete(m.pending, resp.ID)
-	r, err := deltaToRelation(resp.Result)
-	if err != nil {
-		panic(fmt.Sprintf("viewmgr: %s: auxiliary repair of %s: %v", m.cfg.View, name, err))
-	}
-	m.fetched[name] = r
-	if len(m.pending) > 0 {
-		return nil
-	}
-	// Round complete: install the repaired auxiliaries (pre-state of the
-	// head update) and resume the drain. emitHead will advance them past
-	// the head and re-check the bound — a repaired auxiliary that is still
-	// over the bound degrades again immediately, so coverage can flip in
-	// both directions mid-stream.
-	for n, rel := range m.fetched {
-		m.aux[n] = rel
-	}
-	m.pending, m.fetched = nil, nil
-	return m.drain(now)
+	return delta, nil
 }
 
 // enforceBound drops auxiliaries over MaxAuxRows and refreshes the
@@ -294,5 +155,5 @@ func (m *SelfMaintaining) enforceBound() {
 		}
 		bytes += r.Cardinality() * int64(r.Schema().Len()) * 8
 	}
-	m.sob.auxBytes.Set(bytes)
+	m.auxBytes.Set(bytes)
 }

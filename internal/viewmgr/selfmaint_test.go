@@ -253,28 +253,57 @@ func TestSelfMaintainingRetriesRepairQuery(t *testing.T) {
 	r.expectView(v1())
 }
 
-// TestQueryRetriesExhaust proves the bound: a permanently failing source
-// panics after maxQueryRetries re-issues instead of retrying forever.
+// TestQueryRetriesExhaust proves the bound on every source-query path — the
+// CompleteQuery head round, the QueryBatching frontier query and the
+// SelfMaintaining repair round: a permanently failing source panics after
+// maxQueryRetries re-issues instead of retrying forever.
 func TestQueryRetriesExhaust(t *testing.T) {
-	r := newObsRig(t, v1(), func(cfg Config, init expr.Database) Manager {
-		return NewCompleteQuery(cfg)
-	})
-	src := &failOnce{inner: r.node, fails: maxQueryRetries + 2}
-	owner, _ := r.cluster.Owner("R")
-	u, err := r.cluster.Execute(owner, msg.Write{Relation: "R", Delta: ins(rSchema, 1, 2)})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		mk   func(cfg Config, init expr.Database) Manager
+		warm int // S inserts answered by a healthy source before it fails
+	}{
+		{"complete-query", func(cfg Config, init expr.Database) Manager {
+			return NewCompleteQuery(cfg)
+		}, 0},
+		{"query-batching", func(cfg Config, init expr.Database) Manager {
+			initial, err := expr.Eval(cfg.Expr, init)
+			if err != nil {
+				panic(err)
+			}
+			return NewQueryBatching(cfg, initial)
+		}, 0},
+		// Three S rows outgrow the one-row bound, so the next update
+		// waits on a repair round for the S auxiliary.
+		{"self-maintaining-repair", newSelfMaintaining(1), 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newObsRig(t, v1(), tc.mk)
+			src := &failOnce{inner: r.node}
+			exec := func(rel string, d *relation.Delta) {
+				owner, _ := r.cluster.Owner(rel)
+				u, err := r.cluster.Execute(owner, msg.Write{Relation: rel, Delta: d})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pumpVia(t, r.mgr, src, &r.als, r.mgr.Handle(u, 0))
+			}
+			for i := 0; i < tc.warm; i++ {
+				exec("S", ins(sSchema, i, i))
+			}
+			src.fails = maxQueryRetries + 2
+			defer func() {
+				p := recover()
+				if p == nil {
+					t.Fatal("permanent source failure must panic after the retry bound")
+				}
+				if !strings.Contains(p.(string), "failed") {
+					t.Errorf("panic = %v", p)
+				}
+			}()
+			exec("R", ins(rSchema, 1, 2))
+		})
 	}
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("permanent source failure must panic after the retry bound")
-		}
-		if !strings.Contains(p.(string), "failed") {
-			t.Errorf("panic = %v", p)
-		}
-	}()
-	pumpVia(t, r.mgr, src, &r.als, r.mgr.Handle(u, 0))
 }
 
 // TestQueryBatchingRetriesFailedResponse covers the second panic site: the
@@ -392,8 +421,8 @@ func TestSelfMaintainingStateRoundTrip(t *testing.T) {
 	if got, want := fresh.degraded(), sm.degraded(); len(got) != len(want) || got[0] != want[0] {
 		t.Fatalf("restored degraded set = %v, want %v", got, want)
 	}
-	if fresh.nextQID != sm.nextQID {
-		t.Errorf("restored NextQID = %d, want %d", fresh.nextQID, sm.nextQID)
+	if fresh.q.nextQID != sm.q.nextQID {
+		t.Errorf("restored NextQID = %d, want %d", fresh.q.nextQID, sm.q.nextQID)
 	}
 	// Drive both managers through the same next update; streams must match.
 	r.mgr = fresh
@@ -435,10 +464,10 @@ func TestQueryManagerStateRoundTrip(t *testing.T) {
 	if err := fresh.RestoreState(b); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.nextQID != cq.nextQID {
-		t.Errorf("restored NextQID = %d, want %d", fresh.nextQID, cq.nextQID)
+	if fresh.q.nextQID != cq.q.nextQID {
+		t.Errorf("restored NextQID = %d, want %d", fresh.q.nextQID, cq.q.nextQID)
 	}
-	if fresh.pending != nil || fresh.results != nil {
+	if fresh.q.pending != nil || fresh.q.answers != nil {
 		t.Error("restore must abandon any in-flight round")
 	}
 
@@ -459,9 +488,9 @@ func TestQueryManagerStateRoundTrip(t *testing.T) {
 	if err := freshQB.RestoreState(b); err != nil {
 		t.Fatal(err)
 	}
-	if freshQB.sentUpto != qb.sentUpto || freshQB.nextQID != qb.nextQID || freshQB.inflight {
+	if freshQB.sentUpto != qb.sentUpto || freshQB.q.nextQID != qb.q.nextQID || freshQB.q.active() {
 		t.Errorf("restored batching state = upto %d qid %d inflight %v",
-			freshQB.sentUpto, freshQB.nextQID, freshQB.inflight)
+			freshQB.sentUpto, freshQB.q.nextQID, freshQB.q.active())
 	}
 	if !freshQB.lastSent.Equal(qb.lastSent) {
 		t.Error("restored lastSent diverges")

@@ -1,8 +1,8 @@
-// state.go gives the replica-based managers durable snapshots
-// (internal/durable): base-relation replicas, the queued-update backlog,
-// and carried RELᵢ sets. Checkpoints are taken at quiescence, so a busy
-// manager (work in flight on a pool or timer) refuses to marshal rather
-// than silently dropping the in-progress batch.
+// state.go gives the view managers durable snapshots (internal/durable):
+// base-relation replicas or auxiliaries, the queued-update backlog, carried
+// RELᵢ sets, and QID bookkeeping. Checkpoints are taken at quiescence, so a
+// busy manager (work on a pool or timer, or a source round in flight)
+// refuses to marshal rather than silently dropping the in-progress batch.
 package viewmgr
 
 import (
@@ -16,64 +16,8 @@ import (
 	"whips/internal/wire"
 )
 
-type namedRel struct {
-	Name string
-	Rel  wire.Rel
-}
-
-func encodeReplicas(r *replicas) []namedRel {
-	names := make([]string, 0, len(r.db))
-	for n := range r.db {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]namedRel, 0, len(names))
-	for _, n := range names {
-		out = append(out, namedRel{Name: n, Rel: wire.EncodeRelation(r.db[n])})
-	}
-	return out
-}
-
-func decodeReplicas(r *replicas, nrs []namedRel, seq int64) error {
-	r.db = make(map[string]*relation.Relation, len(nrs))
-	for _, nr := range nrs {
-		rel, err := wire.DecodeRelation(nr.Rel)
-		if err != nil {
-			return fmt.Errorf("viewmgr: restore replica %q: %w", nr.Name, err)
-		}
-		r.db[nr.Name] = rel
-	}
-	r.seq = msg.UpdateID(seq)
-	return nil
-}
-
-type batcherState struct {
-	Reps     []namedRel
-	RepSeq   int64
-	Queue    []wire.Update
-	Arrivals []int64
-	Rels     []wire.RelevantSet
-}
-
-func (b *batcher) marshalState() ([]byte, error) {
-	if b.busy {
-		return nil, fmt.Errorf("viewmgr: %s busy — checkpoint requires quiescence", b.cfg.View)
-	}
-	st := batcherState{Reps: encodeReplicas(b.reps), RepSeq: int64(b.reps.seq), Arrivals: append([]int64(nil), b.arrivals...)}
-	for _, u := range b.queue {
-		wu, err := wire.Encode(u)
-		if err != nil {
-			return nil, err
-		}
-		st.Queue = append(st.Queue, wu.(wire.Update))
-	}
-	for _, r := range b.rels.pending {
-		wr, err := wire.Encode(r)
-		if err != nil {
-			return nil, err
-		}
-		st.Rels = append(st.Rels, wr.(wire.RelevantSet))
-	}
+// gobEncode and gobDecode frame every manager's state struct.
+func gobEncode(st any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
 		return nil, err
@@ -81,26 +25,83 @@ func (b *batcher) marshalState() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func (b *batcher) restoreState(bs []byte) error {
-	var st batcherState
-	if err := gob.NewDecoder(bytes.NewReader(bs)).Decode(&st); err != nil {
-		return err
+func gobDecode(b []byte, st any) error { return gob.NewDecoder(bytes.NewReader(b)).Decode(st) }
+
+type namedRel struct {
+	Name string
+	Rel  wire.Rel
+}
+
+// encodeNamed encodes a name → relation map in name order; nil entries
+// (degraded auxiliaries) are recorded by name only, so a restart neither
+// resurrects nor forgets them.
+func encodeNamed(db map[string]*relation.Relation) (rels []namedRel, nilNames []string) {
+	names := make([]string, 0, len(db))
+	for n := range db {
+		names = append(names, n)
 	}
-	if err := decodeReplicas(b.reps, st.Reps, st.RepSeq); err != nil {
-		return err
+	sort.Strings(names)
+	for _, n := range names {
+		if db[n] == nil {
+			nilNames = append(nilNames, n)
+			continue
+		}
+		rels = append(rels, namedRel{Name: n, Rel: wire.EncodeRelation(db[n])})
 	}
-	b.busy = false
-	b.queue = nil
-	for _, wu := range st.Queue {
+	return rels, nilNames
+}
+
+func decodeNamed(rels []namedRel, nilNames []string) (map[string]*relation.Relation, error) {
+	db := make(map[string]*relation.Relation, len(rels)+len(nilNames))
+	for _, nr := range rels {
+		rel, err := wire.DecodeRelation(nr.Rel)
+		if err != nil {
+			return nil, fmt.Errorf("viewmgr: restore %q: %w", nr.Name, err)
+		}
+		db[nr.Name] = rel
+	}
+	for _, n := range nilNames {
+		db[n] = nil
+	}
+	return db, nil
+}
+
+// wireBacklog is the durable form of a backlog.
+type wireBacklog struct {
+	Queue    []wire.Update
+	Arrivals []int64
+	Rels     []wire.RelevantSet
+}
+
+func (b backlog) marshal() (wireBacklog, error) {
+	w := wireBacklog{Arrivals: b.arrivals}
+	for _, u := range b.queue {
+		wu, err := wire.Encode(u)
+		if err != nil {
+			return w, err
+		}
+		w.Queue = append(w.Queue, wu.(wire.Update))
+	}
+	for _, r := range b.rels.pending {
+		wr, err := wire.Encode(r)
+		if err != nil {
+			return w, err
+		}
+		w.Rels = append(w.Rels, wr.(wire.RelevantSet))
+	}
+	return w, nil
+}
+
+func (b *backlog) restore(w wireBacklog) error {
+	*b = backlog{arrivals: w.Arrivals}
+	for _, wu := range w.Queue {
 		m, err := wire.Decode(wu)
 		if err != nil {
 			return err
 		}
 		b.queue = append(b.queue, m.(msg.Update))
 	}
-	b.arrivals = append([]int64(nil), st.Arrivals...)
-	b.rels.pending = nil
-	for _, wr := range st.Rels {
+	for _, wr := range w.Rels {
 		m, err := wire.Decode(wr)
 		if err != nil {
 			return err
@@ -108,6 +109,39 @@ func (b *batcher) restoreState(bs []byte) error {
 		b.rels.pending = append(b.rels.pending, m.(msg.RelevantSet))
 	}
 	return nil
+}
+
+type batcherState struct {
+	Reps    []namedRel
+	RepSeq  int64
+	Backlog wireBacklog
+}
+
+func (b *batcher) marshalState() ([]byte, error) {
+	if b.busy {
+		return nil, fmt.Errorf("viewmgr: %s busy — checkpoint requires quiescence", b.cfg.View)
+	}
+	st := batcherState{RepSeq: int64(b.reps.seq)}
+	st.Reps, _ = encodeNamed(b.reps.db)
+	var err error
+	if st.Backlog, err = b.backlog.marshal(); err != nil {
+		return nil, err
+	}
+	return gobEncode(st)
+}
+
+func (b *batcher) restoreState(bs []byte) error {
+	var st batcherState
+	if err := gobDecode(bs, &st); err != nil {
+		return err
+	}
+	db, err := decodeNamed(st.Reps, nil)
+	if err != nil {
+		return err
+	}
+	b.reps.db, b.reps.seq = db, msg.UpdateID(st.RepSeq)
+	b.busy = false
+	return b.backlog.restore(st.Backlog)
 }
 
 // MarshalState implements durable.Durable.
@@ -134,112 +168,78 @@ func (m *Convergent) MarshalState() ([]byte, error) { return m.b.marshalState() 
 // RestoreState implements durable.Durable.
 func (m *Convergent) RestoreState(b []byte) error { return m.b.restoreState(b) }
 
-// encodeQueue/decodeQueue and encodeRels/decodeRels are the wire round-trip
-// for a manager's queued-update backlog and carried RELᵢ sets.
-func encodeQueue(queue []msg.Update) ([]wire.Update, error) {
-	var out []wire.Update
-	for _, u := range queue {
-		wu, err := wire.Encode(u)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, wu.(wire.Update))
-	}
-	return out, nil
-}
-
-func decodeQueue(wus []wire.Update) ([]msg.Update, error) {
-	var out []msg.Update
-	for _, wu := range wus {
-		m, err := wire.Decode(wu)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m.(msg.Update))
-	}
-	return out, nil
-}
-
-func encodeRels(c *relCarrier) ([]wire.RelevantSet, error) {
-	var out []wire.RelevantSet
-	for _, r := range c.pending {
-		wr, err := wire.Encode(r)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, wr.(wire.RelevantSet))
-	}
-	return out, nil
-}
-
-func decodeRels(c *relCarrier, wrs []wire.RelevantSet) error {
-	c.pending = nil
-	for _, wr := range wrs {
-		m, err := wire.Decode(wr)
-		if err != nil {
-			return err
-		}
-		c.pending = append(c.pending, m.(msg.RelevantSet))
-	}
-	return nil
-}
-
-// queryManagerState persists a CompleteQuery manager. NextQID must survive
-// restarts: a response addressed to a pre-crash QID would otherwise alias a
-// fresh round's QID instead of being dropped as stale.
-type queryManagerState struct {
+// loopState persists an updateLoop manager. NextQID must survive restarts:
+// a response addressed to a pre-crash QID would otherwise alias a fresh
+// round's QID instead of being dropped as stale. Aux and Degraded hold
+// SelfMaintaining's auxiliaries and are empty for CompleteQuery.
+type loopState struct {
 	NextQID  int64
-	Queue    []wire.Update
-	Arrivals []int64
-	Rels     []wire.RelevantSet
+	Backlog  wireBacklog
+	Aux      []namedRel
+	Degraded []string
 }
 
-// MarshalState implements durable.Durable. A checkpoint requires quiescence:
-// with a head round in flight the manager refuses, the same contract as the
-// replica-based managers' busy periods. (At quiescence the queue is empty —
-// a nonempty queue always has a round in flight — so an in-flight round is
-// never persisted; it is abandoned by the crash and restarted by the replay
-// of its update.)
-func (m *CompleteQuery) MarshalState() ([]byte, error) {
-	if m.pending != nil {
-		return nil, fmt.Errorf("viewmgr: %s busy — checkpoint requires quiescence (source query round in flight)", m.cfg.View)
+// marshalState encodes the loop plus the manager's auxiliaries (nil for
+// none). A checkpoint requires quiescence: with a head round in flight the
+// manager refuses, the same contract as the replica-based managers' busy
+// periods. (At quiescence the queue is empty — a nonempty queue always has
+// a round in flight or has drained — so an in-flight round is never
+// persisted; it is abandoned by the crash and restarted by the replay of
+// its update.)
+func (l *updateLoop) marshalState(aux map[string]*relation.Relation) ([]byte, error) {
+	if l.q.active() {
+		return nil, fmt.Errorf("viewmgr: %s busy — checkpoint requires quiescence (source query round in flight)", l.cfg.View)
 	}
-	st := queryManagerState{NextQID: int64(m.nextQID), Arrivals: append([]int64(nil), m.arrivals...)}
+	st := loopState{NextQID: int64(l.q.nextQID)}
+	st.Aux, st.Degraded = encodeNamed(aux)
 	var err error
-	if st.Queue, err = encodeQueue(m.queue); err != nil {
+	if st.Backlog, err = l.backlog.marshal(); err != nil {
 		return nil, err
 	}
-	if st.Rels, err = encodeRels(&m.rels); err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return gobEncode(st)
 }
 
-// RestoreState implements durable.Durable. Any round that was in flight at
-// the crash is abandoned (pending/results reset; late responses carry QIDs
-// at or below the persisted NextQID and are dropped as stale) and restarts
-// when the WAL replays the update that started it.
-func (m *CompleteQuery) RestoreState(b []byte) error {
-	var st queryManagerState
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
-		return err
+// restoreState restores the loop and returns the persisted auxiliaries.
+// Any round that was in flight at the crash is abandoned (late responses
+// carry QIDs at or below the persisted NextQID and are dropped as stale)
+// and restarts when the WAL replays the update that started it.
+func (l *updateLoop) restoreState(b []byte) (map[string]*relation.Relation, error) {
+	var st loopState
+	if err := gobDecode(b, &st); err != nil {
+		return nil, err
 	}
-	q, err := decodeQueue(st.Queue)
+	aux, err := decodeNamed(st.Aux, st.Degraded)
+	if err != nil {
+		return nil, err
+	}
+	if err := l.backlog.restore(st.Backlog); err != nil {
+		return nil, err
+	}
+	l.q.nextQID = msg.QueryID(st.NextQID)
+	l.q.pending, l.q.answers = nil, nil
+	return aux, nil
+}
+
+// MarshalState implements durable.Durable.
+func (m *CompleteQuery) MarshalState() ([]byte, error) { return m.marshalState(nil) }
+
+// RestoreState implements durable.Durable.
+func (m *CompleteQuery) RestoreState(b []byte) error {
+	_, err := m.restoreState(b)
+	return err
+}
+
+// MarshalState implements durable.Durable.
+func (m *SelfMaintaining) MarshalState() ([]byte, error) { return m.marshalState(m.aux) }
+
+// RestoreState implements durable.Durable.
+func (m *SelfMaintaining) RestoreState(b []byte) error {
+	aux, err := m.restoreState(b)
 	if err != nil {
 		return err
 	}
-	if err := decodeRels(&m.rels, st.Rels); err != nil {
-		return err
-	}
-	m.nextQID = msg.QueryID(st.NextQID)
-	m.queue = q
-	m.arrivals = append([]int64(nil), st.Arrivals...)
-	m.pending, m.results = nil, nil
-	m.retries = 0
+	m.aux = aux
+	m.enforceBound()
 	return nil
 }
 
@@ -251,29 +251,25 @@ type queryBatchingState struct {
 	DirtySince int64
 	SentUpto   int64
 	LastSent   wire.Rel
-	Rels       []wire.RelevantSet
+	Backlog    wireBacklog // carried RELᵢ sets only; the manager queues no updates
 }
 
 // MarshalState implements durable.Durable; same quiescence contract as
 // CompleteQuery (an in-flight frontier query refuses the checkpoint).
 func (m *QueryBatching) MarshalState() ([]byte, error) {
-	if m.inflight {
+	if m.q.active() {
 		return nil, fmt.Errorf("viewmgr: %s busy — checkpoint requires quiescence (frontier query in flight)", m.cfg.View)
 	}
 	st := queryBatchingState{
-		NextQID: int64(m.nextQID), Frontier: int64(m.frontier),
+		NextQID: int64(m.q.nextQID), Frontier: int64(m.frontier),
 		Dirty: m.dirty, DirtySince: m.dirtySince,
 		SentUpto: int64(m.sentUpto), LastSent: wire.EncodeRelation(m.lastSent),
 	}
 	var err error
-	if st.Rels, err = encodeRels(&m.rels); err != nil {
+	if st.Backlog, err = (backlog{rels: m.rels}).marshal(); err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return gobEncode(st)
 }
 
 // RestoreState implements durable.Durable. An in-flight query at the crash
@@ -281,105 +277,26 @@ func (m *QueryBatching) MarshalState() ([]byte, error) {
 // fresh one under a post-restore QID.
 func (m *QueryBatching) RestoreState(b []byte) error {
 	var st queryBatchingState
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
+	if err := gobDecode(b, &st); err != nil {
 		return err
 	}
 	last, err := wire.DecodeRelation(st.LastSent)
 	if err != nil {
 		return err
 	}
-	if err := decodeRels(&m.rels, st.Rels); err != nil {
+	var bl backlog
+	if err := bl.restore(st.Backlog); err != nil {
 		return err
 	}
-	m.nextQID = msg.QueryID(st.NextQID)
+	m.rels = bl.rels
+	m.q.nextQID = msg.QueryID(st.NextQID)
+	m.q.pending, m.q.answers = nil, nil
 	m.frontier = msg.UpdateID(st.Frontier)
 	m.dirty = st.Dirty
 	m.dirtySince = st.DirtySince
 	m.sentUpto = msg.UpdateID(st.SentUpto)
 	m.lastSent = last
-	m.inflight = false
-	m.retries = 0
 	m.frontierTrace, m.targetTrace = nil, nil
-	return nil
-}
-
-// selfMaintState persists a SelfMaintaining manager: the auxiliary
-// relations (with degraded ones recorded by name so a restart neither
-// resurrects nor forgets them), the backlog, and the QID bookkeeping.
-type selfMaintState struct {
-	Aux      []namedRel
-	Degraded []string
-	Queue    []wire.Update
-	Arrivals []int64
-	Rels     []wire.RelevantSet
-	NextQID  int64
-}
-
-// MarshalState implements durable.Durable; a fallback round in flight
-// refuses the checkpoint (same quiescence contract as CompleteQuery).
-func (m *SelfMaintaining) MarshalState() ([]byte, error) {
-	if m.pending != nil {
-		return nil, fmt.Errorf("viewmgr: %s busy — checkpoint requires quiescence (auxiliary repair in flight)", m.cfg.View)
-	}
-	st := selfMaintState{NextQID: int64(m.nextQID), Arrivals: append([]int64(nil), m.arrivals...)}
-	names := make([]string, 0, len(m.aux))
-	for n := range m.aux {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if m.aux[n] == nil {
-			st.Degraded = append(st.Degraded, n)
-			continue
-		}
-		st.Aux = append(st.Aux, namedRel{Name: n, Rel: wire.EncodeRelation(m.aux[n])})
-	}
-	var err error
-	if st.Queue, err = encodeQueue(m.queue); err != nil {
-		return nil, err
-	}
-	if st.Rels, err = encodeRels(&m.rels); err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// RestoreState implements durable.Durable.
-func (m *SelfMaintaining) RestoreState(b []byte) error {
-	var st selfMaintState
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
-		return err
-	}
-	aux := make(map[string]*relation.Relation, len(st.Aux)+len(st.Degraded))
-	for _, nr := range st.Aux {
-		rel, err := wire.DecodeRelation(nr.Rel)
-		if err != nil {
-			return fmt.Errorf("viewmgr: restore auxiliary %q: %w", nr.Name, err)
-		}
-		aux[nr.Name] = rel
-	}
-	for _, n := range st.Degraded {
-		aux[n] = nil
-	}
-	q, err := decodeQueue(st.Queue)
-	if err != nil {
-		return err
-	}
-	if err := decodeRels(&m.rels, st.Rels); err != nil {
-		return err
-	}
-	m.aux = aux
-	m.queue = q
-	m.arrivals = append([]int64(nil), st.Arrivals...)
-	m.nextQID = msg.QueryID(st.NextQID)
-	m.pending, m.fetched = nil, nil
-	m.retries = 0
-	m.repairing = false
-	m.enforceBound()
 	return nil
 }
 
@@ -398,30 +315,29 @@ type refreshState struct {
 // MarshalState implements durable.Durable.
 func (m *Refresh) MarshalState() ([]byte, error) {
 	st := refreshState{
-		Reps: encodeReplicas(m.reps), RepSeq: int64(m.reps.seq),
+		RepSeq:  int64(m.reps.seq),
 		Pending: m.pending, From: int64(m.from),
 		LastSent: wire.EncodeRelation(m.lastSent), BatchStart: m.batchStart,
 	}
+	st.Reps, _ = encodeNamed(m.reps.db)
 	if m.cur != nil {
 		st.HasCur = true
 		st.Cur = wire.EncodeRelation(m.cur)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return gobEncode(st)
 }
 
 // RestoreState implements durable.Durable.
 func (m *Refresh) RestoreState(b []byte) error {
 	var st refreshState
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
+	if err := gobDecode(b, &st); err != nil {
 		return err
 	}
-	if err := decodeReplicas(m.reps, st.Reps, st.RepSeq); err != nil {
+	db, err := decodeNamed(st.Reps, nil)
+	if err != nil {
 		return err
 	}
+	m.reps.db, m.reps.seq = db, msg.UpdateID(st.RepSeq)
 	last, err := wire.DecodeRelation(st.LastSent)
 	if err != nil {
 		return err

@@ -92,25 +92,18 @@ type vmObs struct {
 	batchSize  *obs.Histogram
 	genLatency *obs.Histogram
 	queueDepth *obs.Histogram
-	// sourceQueries counts every QueryRequest sent to the sources (the
-	// round-trips self-maintenance exists to eliminate); queryRetries
-	// counts re-issues after a transient QueryResponse.Err.
-	sourceQueries *obs.Counter
-	queryRetries  *obs.Counter
 }
 
 func newVMObs(cfg Config) vmObs {
 	r := cfg.Obs.Reg()
 	v := string(cfg.View)
 	return vmObs{
-		p:             cfg.Obs,
-		updates:       r.Counter("vm_updates_total", "view", v),
-		als:           r.Counter("vm_als_total", "view", v),
-		batchSize:     r.Histogram("vm_batch_updates", obs.SizeBuckets(), "view", v),
-		genLatency:    r.Histogram("vm_gen_latency_ns", obs.LatencyBuckets(), "view", v),
-		queueDepth:    r.Histogram("vm_queue_depth", obs.SizeBuckets(), "view", v),
-		sourceQueries: r.Counter("vm_source_queries_total", "view", v),
-		queryRetries:  r.Counter("vm_query_retries_total", "view", v),
+		p:          cfg.Obs,
+		updates:    r.Counter("vm_updates_total", "view", v),
+		als:        r.Counter("vm_als_total", "view", v),
+		batchSize:  r.Histogram("vm_batch_updates", obs.SizeBuckets(), "view", v),
+		genLatency: r.Histogram("vm_gen_latency_ns", obs.LatencyBuckets(), "view", v),
+		queueDepth: r.Histogram("vm_queue_depth", obs.SizeBuckets(), "view", v),
 	}
 }
 
@@ -328,27 +321,35 @@ type workDone struct {
 	batch        int
 }
 
+// backlog is what a queueing manager holds between computations: the
+// updates no action list covers yet, when each arrived, and the carried
+// RELᵢ sets not yet piggybacked. Its wire form (state.go) is the one
+// durable encoding of a backlog.
+type backlog struct {
+	queue    []msg.Update
+	arrivals []int64 // arrivals[i] is when queue[i] arrived
+	rels     relCarrier
+}
+
 // batcher is the shared skeleton of the replica-based managers: it queues
 // incoming updates, lets a policy choose how many to take per computation,
 // models computation latency with a busy period, and emits the resulting
 // action lists when the work completes.
 type batcher struct {
-	cfg    Config
-	reps   *replicas
-	busy   bool
-	queue  []msg.Update
-	level  msg.Level
-	take   func(queued int) int // how many updates to process now (0 = wait)
-	encode func(batch []msg.Update, delta *relation.Delta) []msg.ActionList
-	// rels piggybacks carried RELᵢ sets onto outgoing lists; immediateRel
-	// relays them on receipt instead (complete-N may hold updates below
-	// its boundary indefinitely, which would starve other views).
-	rels         relCarrier
+	cfg  Config
+	reps *replicas
+	busy bool
+	// backlog.rels piggybacks carried RELᵢ sets onto outgoing lists;
+	// immediateRel relays them on receipt instead (complete-N may hold
+	// updates below its boundary indefinitely, which would starve other
+	// views).
+	backlog
+	level        msg.Level
+	take         func(queued int) int // how many updates to process now (0 = wait)
+	encode       func(batch []msg.Update, delta *relation.Delta) []msg.ActionList
 	immediateRel bool
 
 	ob vmObs
-	// arrivals mirrors queue: arrivals[i] is when queue[i] arrived.
-	arrivals []int64
 }
 
 func (b *batcher) id() string { return msg.NodeViewManager(b.cfg.View) }

@@ -63,7 +63,10 @@ if ! grep -Eq '^vm_aux_bytes\{[^}]*\} [1-9]' <<<"$METRICS"; then
 fi
 
 echo "== /metrics.json parses =="
-curl -fsS "http://$DEBUG/metrics.json" | head -c 200
+# Fetch whole before truncating: with pipefail, curl | head fails the
+# script when head closes the pipe before curl finishes writing.
+METRICS_JSON=$(curl -fsS "http://$DEBUG/metrics.json")
+head -c 200 <<<"$METRICS_JSON"
 echo
 
 grep -E 'recovered|^V1: |complete=' "$WH_LOG" || true

@@ -78,14 +78,6 @@ type Config struct {
 	// unchanged; only where the deltas are computed moves. Incompatible
 	// with query-based manager kinds.
 	SharedPlans bool
-	// SelfMaintain converts every Complete and CompleteQuery view to a
-	// self-maintaining manager: auxiliary relations derived from the view
-	// definition (join-key projections and pushed-down filters of each
-	// base occurrence) are maintained incrementally from the update stream
-	// itself, so deltas are computed with zero source queries. The emitted
-	// action-list stream — and so every consistency guarantee — is
-	// unchanged. Incompatible with SharedPlans.
-	SelfMaintain bool
 	// MaxAuxRows bounds each auxiliary relation a self-maintaining manager
 	// keeps: an auxiliary growing past the bound is dropped and repaired
 	// with a bounded source query when next needed. 0 means unbounded.
@@ -172,7 +164,6 @@ func New(cfg Config) (*System, error) {
 		RelayRelevantSets: cfg.RelayRelevantSets,
 		OptimizeViews:     cfg.OptimizeViews,
 		SharedPlans:       cfg.SharedPlans,
-		SelfMaintain:      cfg.SelfMaintain,
 		MaxAuxRows:        cfg.MaxAuxRows,
 		LogStates:         cfg.LogStates,
 		Clock:             func() int64 { return time.Now().UnixNano() },
